@@ -1,14 +1,14 @@
 //! PR9 — B-tree checkpoint benchmark: what lazy, paged table bases buy
-//! over the load-everything heap-chain baseline.
+//! over a fully materialized table.
 //!
-//! Builds the same table twice, checkpointed once per
-//! [`CheckpointFormat`]: the PR-7 heap-chain image (`HeapChainV1`, which
-//! `open` must materialize row by row) and the PR-9 B-tree image
-//! (`BTreeV2`, which `open` merely points at — rows fault in through a
-//! bounded buffer pool on first touch). For each it measures:
+//! Builds the same table twice: once left in the WAL with no checkpoint
+//! (`resident`: `open` replays every row into the in-memory overlay, the
+//! fully materialized read path), and once checkpointed to a B-tree image
+//! (`btree-v2`: `open` merely points at the image — rows fault in through
+//! a bounded buffer pool on first touch). For each it measures:
 //!
 //! - open wall time, and how many rows are resident right after open
-//!   (the overlay row count: N for the heap chain, 0 for the B-tree);
+//!   (the overlay row count: N for the resident path, 0 for the B-tree);
 //! - cached image pages after open and after a random point-lookup
 //!   storm — always bounded by the pool, never the corpus;
 //! - point-lookup latency through each path, plus the image buffer
@@ -20,9 +20,7 @@
 //! `--check` runs a small variant for CI smoke with the same assertions.
 
 use quarry_bench::{banner, f3, Table};
-use quarry_storage::{
-    CheckpointFormat, Column, DataType, Database, DurabilityMode, TableSchema, Value,
-};
+use quarry_storage::{Column, DataType, Database, DurabilityMode, TableSchema, Value};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -65,14 +63,14 @@ fn cleanup(p: &Path) {
     }
 }
 
-/// Ingest `rows` rows and publish one checkpoint in `format`, leaving the
-/// files on disk for the open-phase measurement.
-fn build_store(format: CheckpointFormat, rows: usize, label: &str) -> PathBuf {
+/// Ingest `rows` rows, then either publish one checkpoint or leave every
+/// row in the WAL, keeping the files on disk for the open-phase
+/// measurement.
+fn build_store(checkpoint: bool, rows: usize, label: &str) -> PathBuf {
     let p = tmp(label);
     cleanup(&p);
     let mut db = Database::open(&p).unwrap();
     db.set_durability(DurabilityMode::Deferred);
-    db.set_checkpoint_format(format);
     db.create_table(items_schema()).unwrap();
     let mut i = 0i64;
     while (i as usize) < rows {
@@ -83,7 +81,11 @@ fn build_store(format: CheckpointFormat, rows: usize, label: &str) -> PathBuf {
         }
         db.commit(tx).unwrap();
     }
-    db.checkpoint().unwrap();
+    if checkpoint {
+        db.checkpoint().unwrap();
+    } else {
+        db.sync_wal().unwrap();
+    }
     p
 }
 
@@ -96,19 +98,14 @@ struct OpenPoint {
     lookup_mean_us: f64,
     lookup_p95_us: u64,
     pool: Option<(u64, u64, u64)>, // hits, misses, evictions
-    ckpt_bytes: u64,
+    ckpt_bytes: Option<u64>,
 }
 
 /// Open the prepared store, then hammer it with `lookups` random point
 /// reads by primary key.
-fn measure(
-    format: CheckpointFormat,
-    label: &'static str,
-    rows: usize,
-    lookups: usize,
-) -> OpenPoint {
-    let p = build_store(format, rows, label);
-    let ckpt_bytes = std::fs::metadata(p.with_extension("ckpt")).unwrap().len();
+fn measure(checkpoint: bool, label: &'static str, rows: usize, lookups: usize) -> OpenPoint {
+    let p = build_store(checkpoint, rows, label);
+    let ckpt_bytes = std::fs::metadata(p.with_extension("ckpt")).ok().map(|m| m.len());
 
     let start = Instant::now();
     let db = Database::open(&p).unwrap();
@@ -117,7 +114,7 @@ fn measure(
     let cached_after_open = db.image_cached_pages();
 
     // Deterministic pseudo-random probe sequence (no clock seeding: runs
-    // must be comparable across formats).
+    // must be comparable across read paths).
     let mut lat = Vec::with_capacity(lookups);
     let mut x = 0x243F_6A88_85A3_08D3u64;
     for _ in 0..lookups {
@@ -161,12 +158,12 @@ fn main() {
 
     let (rows, lookups) = if check { (2_000, 300) } else { (20_000, 2_000) };
 
-    let heap = measure(CheckpointFormat::HeapChainV1, "heap-chain-v1", rows, lookups);
-    let tree = measure(CheckpointFormat::BTreeV2, "btree-v2", rows, lookups);
+    let resident = measure(false, "resident", rows, lookups);
+    let tree = measure(true, "btree-v2", rows, lookups);
 
     println!("\nopen + {lookups} random point lookups over {rows} rows");
     let mut t = Table::new(&[
-        "format",
+        "read path",
         "open (ms)",
         "resident rows",
         "cached pages",
@@ -174,7 +171,7 @@ fn main() {
         "p95 (us)",
         "ckpt bytes",
     ]);
-    for p in [&heap, &tree] {
+    for p in [&resident, &tree] {
         t.row(&[
             p.format.to_string(),
             f3(p.open_ms),
@@ -182,7 +179,7 @@ fn main() {
             p.cached_after_reads.map_or("-".into(), |c| c.to_string()),
             format!("{:.1}", p.lookup_mean_us),
             p.lookup_p95_us.to_string(),
-            p.ckpt_bytes.to_string(),
+            p.ckpt_bytes.map_or("-".into(), |b| b.to_string()),
         ]);
     }
     t.print();
@@ -194,9 +191,9 @@ fn main() {
         );
     }
 
-    // The PR-9 contract: the heap-chain open materializes every row; the
+    // The PR-9 contract: the WAL-only open materializes every row; the
     // B-tree open materializes none and stays within the pool budget.
-    assert_eq!(heap.resident_rows, rows, "heap-chain open must materialize the table");
+    assert_eq!(resident.resident_rows, rows, "WAL-only open must materialize the table");
     assert_eq!(tree.resident_rows, 0, "btree open must not materialize any rows");
     let cached_open = tree.cached_after_open.expect("btree store must expose an image pool");
     let cached_reads = tree.cached_after_reads.unwrap();
@@ -227,7 +224,7 @@ fn main() {
             p.cached_after_reads.map_or("null".into(), |c| c.to_string()),
             p.lookup_mean_us,
             p.lookup_p95_us,
-            p.ckpt_bytes
+            p.ckpt_bytes.map_or("null".into(), |b| b.to_string())
         )
     };
     let json_out = format!(
@@ -235,7 +232,7 @@ fn main() {
          \"lookups\": {lookups},\n  \"pool_pages\": {POOL_PAGES},\n  \"formats\": [\n{},\n{}\n  \
          ],\n  \"btree_pool\": {pool_json}\n}}\n",
         if check { "check" } else { "full" },
-        point(&heap),
+        point(&resident),
         point(&tree),
     );
     std::fs::write("BENCH_pr9.json", json_out).unwrap();

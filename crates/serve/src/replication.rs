@@ -12,7 +12,7 @@
 //! shipped data frame is byte-identical to the frame the primary wrote
 //! to its own log. Control messages are payloads whose first byte is a
 //! tag in `0xC1..=0xC6` — a range no [`LogRecord`] encoding starts with
-//! (binary records start `0x01`, JSON records `0x7B`):
+//! (every record starts with its format byte `0x01`):
 //!
 //! ```text
 //! 0xC1 hello    replica → primary   epoch u64, offset u64, fresh u8

@@ -1,9 +1,8 @@
 //! Compact binary encoding for values, rows, and table schemas.
 //!
-//! The storage hot paths — WAL records, checkpoint heap pages, and the
-//! persisted snapshot store — all encode through this module instead of
-//! JSON (see `docs/storage.md` for the motivation and the byte-level
-//! format). The encoding is length-prefixed throughout: integers are
+//! Every storage format — WAL records, checkpoint B-tree pages and
+//! directories, and the persisted snapshot store — encodes through this
+//! module (see `docs/storage.md` for the byte-level format). The encoding is length-prefixed throughout: integers are
 //! LEB128 varints (signed values zigzag-encoded first), floats are their
 //! IEEE-754 bits in little-endian order (so NaN payloads and signed zeros
 //! round-trip exactly), and strings are a byte-length varint followed by

@@ -46,9 +46,10 @@ pub enum PageType {
     Free,
     /// The pager's metadata page (always page 0).
     Meta,
-    /// Table directory: schemas plus chain heads / tree roots.
+    /// Table directory: schemas plus tree roots.
     Directory,
-    /// Table heap: encoded `(row_id, row)` records.
+    /// Generic record chain. The retired v1 image stored table heaps in
+    /// these; the tag keeps its number so no other type is renumbered.
     Heap,
     /// B-tree leaf: sorted key/value entries; `next` links the right
     /// sibling for range scans (see [`crate::btree`]).
@@ -98,7 +99,8 @@ pub struct Page {
     pub count: u16,
     /// Used payload bytes.
     pub len: u16,
-    /// Next page in this chain (heap chain, directory chain, or freelist);
+    /// Next page in this chain (record chain, overflow chain, leaf
+    /// sibling, or freelist);
     /// [`NO_PAGE`] terminates.
     pub next: u32,
     /// Payload, `PAGE_CAPACITY` bytes; only `len` of them are meaningful.

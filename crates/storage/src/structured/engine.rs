@@ -7,7 +7,6 @@
 //! fail with [`StorageError::TxAborted`] (wait-die victim); the caller is
 //! expected to `abort()` and retry with a fresh transaction.
 
-use crate::codec;
 use crate::error::StorageError;
 use crate::faultfs::{RealBackend, StorageBackend};
 use crate::page::{PageType, NO_PAGE};
@@ -24,7 +23,7 @@ use std::sync::Arc;
 use super::index::SecondaryIndex;
 use super::lock::{LockManager, LockMode, LockTarget};
 use super::paged::{self, CheckpointImage, TableBase};
-use super::recovery::{LogRecord, WalCodec};
+use super::recovery::LogRecord;
 use super::table::{Row, RowId, TableSchema};
 use super::view::{DbSnapshot, TableView};
 
@@ -53,21 +52,6 @@ impl IndexStats {
     }
 }
 
-/// On-disk layout of checkpoint images written by [`Database::checkpoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// Sequential heap chains, fully materialized on open: the PR-7
-    /// layout, kept as a measurable baseline and for format-compat
-    /// coverage. Both formats are always *readable*; this only selects
-    /// what the next checkpoint writes.
-    HeapChainV1,
-    /// B-tree row/pk/index trees, faulted in on demand (the default).
-    /// Opening a database stops materializing tables: resident memory is
-    /// bounded by the image's buffer pool, not the corpus.
-    #[default]
-    BTreeV2,
-}
-
 /// How [`Database::select`] reaches a table's rows.
 #[derive(Debug, Clone, Copy)]
 pub enum ScanAccess<'a> {
@@ -89,8 +73,8 @@ pub enum ScanAccess<'a> {
 /// One table: a checkpoint-image **base** (immutable, on disk, faulted in
 /// through a bounded buffer pool) plus an in-memory **overlay** of
 /// everything written since that checkpoint. A table with no base (fresh,
-/// in-memory, or loaded from a legacy materializing image) is the old
-/// fully-resident engine: `base = None` and the overlay is the table.
+/// in-memory, or rebuilt from the WAL alone) is fully resident:
+/// `base = None` and the overlay is the table.
 #[derive(Clone)]
 struct Table {
     schema: TableSchema,
@@ -451,16 +435,11 @@ pub struct Database {
     durability: DurabilityMode,
     /// Group-commit queue batching concurrent commit fsyncs (Full mode).
     commit_queue: CommitQueue,
-    /// Wire format for WAL records (binary by default; JSON kept for the
-    /// bench baseline and legacy logs).
-    wal_codec: WalCodec,
     /// The open checkpoint image backing the tables' bases (`None` until
     /// a B-tree image is loaded or published). Held here so diagnostics
     /// can reach the shared buffer pool; the per-table handles live in
     /// each [`Table::base`].
     image: Mutex<Option<Arc<CheckpointImage>>>,
-    /// Layout the next [`Database::checkpoint`] writes.
-    ckpt_format: CheckpointFormat,
     /// Checkpoint epoch: bumped every time the WAL is truncated (a
     /// checkpoint publishing, or a replica reseed). A WAL byte offset is
     /// only meaningful *within* one epoch, so replication handshakes carry
@@ -485,9 +464,7 @@ impl Database {
             views: Mutex::new(HashMap::new()),
             durability: DurabilityMode::Full,
             commit_queue: CommitQueue::new(),
-            wal_codec: WalCodec::BinaryV1,
             image: Mutex::new(None),
-            ckpt_format: CheckpointFormat::default(),
             epoch: AtomicU64::new(0),
         }
     }
@@ -516,15 +493,16 @@ impl Database {
     ///
     /// Recovery order: load the durable checkpoint image first (if one was
     /// published by [`Database::checkpoint`]), then replay the WAL over it.
-    /// The checkpoint is a paged binary file since the paged engine landed;
-    /// older WAL-format (JSON record) checkpoint images are detected by
-    /// format probe and still replay, so a database written by the previous
-    /// engine opens unchanged. A crash between checkpoint publication (the
-    /// rename) and the log reset leaves a WAL holding history the
-    /// checkpoint already contains; replaying that suffix over the
-    /// checkpoint state is convergent — every record either recreates
-    /// exactly what the checkpoint holds or re-applies a committed change
-    /// idempotently (see docs/durability.md).
+    /// A missing `.ckpt` means no checkpoint was ever published; any other
+    /// failure to open it — a short, zeroed, or non-paged file, or a
+    /// directory in an older layout — is returned as an error, never
+    /// treated as an empty database.
+    ///
+    /// A crash between checkpoint publication (the rename) and the log
+    /// reset leaves a WAL holding history the checkpoint already contains;
+    /// replaying that suffix over the checkpoint state is convergent —
+    /// every record either recreates exactly what the checkpoint holds or
+    /// re-applies a committed change idempotently (see docs/durability.md).
     pub fn open_with(backend: Arc<dyn StorageBackend>, path: impl AsRef<Path>) -> Result<Database> {
         let path = path.as_ref();
         // A stale checkpoint build means we crashed mid-checkpoint, before
@@ -532,31 +510,23 @@ impl Database {
         let _ = backend.remove_file(&Self::checkpoint_tmp_path(path));
         let ckpt = Self::checkpoint_path(path);
         let db = Database::in_memory();
-        let mut max_tx = 0u64;
-        if Pager::is_paged(&*backend, &ckpt)? {
-            db.load_checkpoint_image(&*backend, &ckpt)?;
-        } else {
-            // Legacy checkpoint: a WAL-format file of JSON records.
-            let records = Wal::replay_with(&*backend, &ckpt)?;
-            max_tx = max_tx.max(db.apply_records(&records)?);
+        match CheckpointImage::open(&*backend, &ckpt, CKPT_POOL_PAGES) {
+            Ok(image) => db.load_checkpoint_image(Arc::new(image))?,
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
         let records = Wal::replay_with(&*backend, path)?;
-        max_tx = max_tx.max(db.apply_records(&records)?);
+        let max_tx = db.apply_records(&records)?;
         db.next_tx.store(max_tx + 1, Ordering::SeqCst);
         *db.wal.lock() = Some(Wal::open_with(Arc::clone(&backend), path)?);
         Ok(Database { backend, ..db })
     }
 
-    /// Load a paged binary checkpoint image.
-    ///
-    /// A v2 (B-tree) image loads **lazily**: each table becomes an empty
-    /// overlay over a [`TableBase`], and rows fault in through the
-    /// image's buffer pool on first touch — open-time resident rows are
-    /// zero regardless of corpus size. A v1 (heap-chain) image keeps the
-    /// legacy behavior and materializes every table; the next checkpoint
-    /// migrates it to trees.
-    fn load_checkpoint_image(&self, backend: &dyn StorageBackend, path: &Path) -> Result<()> {
-        let image = Arc::new(CheckpointImage::open(backend, path, CKPT_POOL_PAGES)?);
+    /// Load a checkpoint image **lazily**: each table becomes an empty
+    /// overlay over a [`TableBase`], and rows fault in through the image's
+    /// buffer pool on first touch — open-time resident rows are zero
+    /// regardless of corpus size.
+    fn load_checkpoint_image(&self, image: Arc<CheckpointImage>) -> Result<()> {
         let dir = {
             let mut pager = image.pager.lock();
             let root = pager.root();
@@ -565,58 +535,14 @@ impl Database {
             }
             read_chain(&mut pager, root)?
         };
-        if let Some(entries) = paged::decode_directory_v2(&dir)? {
-            let mut tables = self.tables.lock();
-            for e in entries {
-                let stamp = self.stamp();
-                let base = TableBase { image: Arc::clone(&image), meta: Arc::new(e.meta) };
-                let t = Table::from_base(e.schema, base, stamp);
-                tables.insert(t.schema.name.clone(), t);
-            }
-            *self.image.lock() = Some(image);
-            return Ok(());
-        }
-        // Legacy v1 image: schemas + heap-chain heads in the directory,
-        // each chain a run of `(row_id, row)` records.
-        let pos = &mut 0usize;
-        let ntables = codec::read_u64(&dir, pos)? as usize;
-        let mut entries = Vec::with_capacity(ntables);
-        for _ in 0..ntables {
-            let schema = codec::read_schema(&dir, pos)?;
-            let head = u32::try_from(codec::read_u64(&dir, pos)?)
-                .map_err(|_| StorageError::Corrupt("heap head overflows page id".into()))?;
-            let nrows = codec::read_u64(&dir, pos)?;
-            entries.push((schema, head, nrows));
-        }
-        if *pos != dir.len() {
-            return Err(StorageError::Corrupt("checkpoint directory has trailing bytes".into()));
-        }
         let mut tables = self.tables.lock();
-        for (schema, head, nrows) in entries {
+        for e in paged::decode_directory_v2(&dir)? {
             let stamp = self.stamp();
-            let mut t = Table::new(schema, stamp);
-            if head != NO_PAGE {
-                let heap = {
-                    let mut pager = image.pager.lock();
-                    read_chain(&mut pager, head)?
-                };
-                let hpos = &mut 0usize;
-                for _ in 0..nrows {
-                    let row_id = RowId(codec::read_u64(&heap, hpos)?);
-                    let row = codec::read_row(&heap, hpos)?;
-                    let stamp = self.stamp();
-                    t.apply_insert(stamp, row_id, row)?;
-                }
-                if *hpos != heap.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "heap chain of table {} has trailing bytes",
-                        t.schema.name
-                    )));
-                }
-            }
-            t.stable_version = t.version;
+            let base = TableBase { image: Arc::clone(&image), meta: Arc::new(e.meta) };
+            let t = Table::from_base(e.schema, base, stamp);
             tables.insert(t.schema.name.clone(), t);
         }
+        *self.image.lock() = Some(image);
         Ok(())
     }
 
@@ -699,26 +625,6 @@ impl Database {
         self.durability
     }
 
-    /// Pick the WAL record wire format (binary by default). Exists so
-    /// benchmarks can measure the legacy JSON encoding on identical
-    /// workloads; decoding always accepts both.
-    pub fn set_wal_codec(&mut self, codec: WalCodec) {
-        self.wal_codec = codec;
-    }
-
-    /// Pick the layout the next [`Database::checkpoint`] writes (B-tree
-    /// by default). Exists so benchmarks can measure the legacy
-    /// heap-chain format on identical workloads; *reading* always accepts
-    /// both formats.
-    pub fn set_checkpoint_format(&mut self, format: CheckpointFormat) {
-        self.ckpt_format = format;
-    }
-
-    /// The configured checkpoint layout.
-    pub fn checkpoint_format(&self) -> CheckpointFormat {
-        self.ckpt_format
-    }
-
     /// Rows resident in a table's in-memory overlay (diagnostics: after a
     /// B-tree checkpoint or lazy open this is 0 until writes arrive,
     /// however large the table).
@@ -742,13 +648,6 @@ impl Database {
         Some(image.cached_pages())
     }
 
-    /// Disable per-commit fsync (bulk loads; used by benchmarks to isolate
-    /// CPU cost from disk cost). Shorthand for
-    /// [`Database::set_durability`] with `Full` / `Deferred`.
-    pub fn set_sync_commits(&mut self, on: bool) {
-        self.durability = if on { DurabilityMode::Full } else { DurabilityMode::Deferred };
-    }
-
     /// Flush and fsync the WAL now, regardless of durability mode. The
     /// explicit durability point for `Normal`/`Deferred` users (e.g. a
     /// serve-loop drain or a bulk load's final barrier).
@@ -761,7 +660,7 @@ impl Database {
 
     fn log(&self, rec: &LogRecord) -> Result<()> {
         if let Some(wal) = self.wal.lock().as_mut() {
-            wal.append(&rec.encode_with(self.wal_codec)?)?;
+            wal.append(&rec.encode()?)?;
         }
         Ok(())
     }
@@ -774,7 +673,7 @@ impl Database {
         let target = {
             let mut guard = self.wal.lock();
             let Some(wal) = guard.as_mut() else { return Ok(()) };
-            wal.append(&rec.encode_with(self.wal_codec)?)?;
+            wal.append(&rec.encode()?)?;
             match self.durability {
                 DurabilityMode::Full => wal.len(),
                 DurabilityMode::Normal => {
@@ -879,17 +778,13 @@ impl Database {
     /// length. Requires quiescence (no active transactions) and is a no-op
     /// for in-memory databases.
     ///
-    /// The image is a paged binary file (see `docs/storage.md`). In the
-    /// default [`CheckpointFormat::BTreeV2`] layout each table gets three
-    /// B-trees — rows by id, primary keys, and one per secondary index —
-    /// plus a v2 directory of schemas and tree roots, all behind per-page
-    /// CRCs, streamed through a bounded buffer pool so checkpointing never
-    /// materializes the database twice in memory. After publication every
-    /// table's in-memory overlay is dropped onto the fresh image: reads
-    /// fault base pages in on demand from then on. The legacy
-    /// [`CheckpointFormat::HeapChainV1`] layout (sequential heap chains,
-    /// fully materialized on open) is still written on request and always
-    /// readable.
+    /// The image is a paged binary file (see `docs/storage.md`): each
+    /// table gets three B-trees — rows by id, primary keys, and one per
+    /// secondary index — plus a v2 directory of schemas and tree roots,
+    /// all behind per-page CRCs, streamed through a bounded buffer pool so
+    /// checkpointing never materializes the database twice in memory.
+    /// After publication every table's in-memory overlay is dropped onto
+    /// the fresh image: reads fault base pages in on demand from then on.
     ///
     /// Crash-safe by construction: the image is built in a `.ckpt-tmp`
     /// side file, fsynced, then atomically renamed to the durable `.ckpt`
@@ -931,63 +826,22 @@ impl Database {
         let mut metas: Vec<(String, paged::BaseMeta)> = Vec::new();
         {
             let mut pager = Pager::create(&*self.backend, &tmp, CKPT_POOL_PAGES)?;
-            let directory = match self.ckpt_format {
-                CheckpointFormat::BTreeV2 => {
-                    let mut entries = Vec::with_capacity(names.len());
-                    for name in &names {
-                        let t = &tables[name];
-                        let overlay = Table::sorted_overlay(&t.heap);
-                        let meta = paged::build_table_trees(
-                            &mut pager,
-                            &t.schema,
-                            t.base.as_ref(),
-                            &overlay,
-                            &t.tombstones,
-                            t.next_row,
-                        )?;
-                        metas.push((name.clone(), meta.clone()));
-                        entries.push(paged::DirectoryEntry { schema: t.schema.clone(), meta });
-                    }
-                    paged::encode_directory_v2(&entries)?
-                }
-                CheckpointFormat::HeapChainV1 => {
-                    // One heap chain per table, rows in row-id order (a
-                    // deterministic page/op stream for the crash sweeps).
-                    let mut scratch = Vec::new();
-                    let mut directory = Vec::new();
-                    codec::write_u64(&mut directory, names.len() as u64)?;
-                    for name in &names {
-                        let t = &tables[name];
-                        let (head, nrows) = if t.live_rows == 0 {
-                            (NO_PAGE, 0)
-                        } else {
-                            let overlay = Table::sorted_overlay(&t.heap);
-                            let mut chain = ChainWriter::new(&mut pager, PageType::Heap)?;
-                            let mut nrows = 0u64;
-                            paged::for_each_live_row(
-                                t.base.as_ref(),
-                                &overlay,
-                                &t.tombstones,
-                                &mut |id, row| {
-                                    scratch.clear();
-                                    codec::write_u64(&mut scratch, id.0)?;
-                                    codec::write_row(&mut scratch, row)?;
-                                    chain.push_record(&mut pager, &scratch)?;
-                                    nrows += 1;
-                                    Ok(())
-                                },
-                            )?;
-                            let (head, written) = chain.finish(&mut pager)?;
-                            debug_assert_eq!(written, nrows);
-                            (head, nrows)
-                        };
-                        codec::write_schema(&mut directory, &t.schema)?;
-                        codec::write_u64(&mut directory, u64::from(head))?;
-                        codec::write_u64(&mut directory, nrows)?;
-                    }
-                    directory
-                }
-            };
+            let mut entries = Vec::with_capacity(names.len());
+            for name in &names {
+                let t = &tables[name];
+                let overlay = Table::sorted_overlay(&t.heap);
+                let meta = paged::build_table_trees(
+                    &mut pager,
+                    &t.schema,
+                    t.base.as_ref(),
+                    &overlay,
+                    &t.tombstones,
+                    t.next_row,
+                )?;
+                metas.push((name.clone(), meta.clone()));
+                entries.push(paged::DirectoryEntry { schema: t.schema.clone(), meta });
+            }
+            let directory = paged::encode_directory_v2(&entries)?;
             let mut dir_chain = ChainWriter::new(&mut pager, PageType::Directory)?;
             dir_chain.push_record(&mut pager, &directory)?;
             let (dir_head, _) = dir_chain.finish(&mut pager)?;
@@ -1003,21 +857,19 @@ impl Database {
         // New epoch: replication offsets into the pre-truncation log are
         // now meaningless, and any tailing replica must renegotiate.
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.ckpt_format == CheckpointFormat::BTreeV2 {
-            // Swap every table onto the fresh image and drop the overlays:
-            // from here on, reads fault base pages in on demand. Contents
-            // are unchanged, so versions (and cached snapshot views, which
-            // keep the old image alive via their own `Arc`s) stay valid.
-            // If the open fails the checkpoint is still durable and the
-            // tables simply stay resident; the error is surfaced.
-            let image = Arc::new(CheckpointImage::open(&*self.backend, &ckpt, CKPT_POOL_PAGES)?);
-            for (name, meta) in metas {
-                if let Some(t) = tables.get_mut(&name) {
-                    t.reset_to_base(TableBase { image: Arc::clone(&image), meta: Arc::new(meta) });
-                }
+        // Swap every table onto the fresh image and drop the overlays:
+        // from here on, reads fault base pages in on demand. Contents are
+        // unchanged, so versions (and cached snapshot views, which keep the
+        // old image alive via their own `Arc`s) stay valid. If the open
+        // fails the checkpoint is still durable and the tables simply stay
+        // resident; the error is surfaced.
+        let image = Arc::new(CheckpointImage::open(&*self.backend, &ckpt, CKPT_POOL_PAGES)?);
+        for (name, meta) in metas {
+            if let Some(t) = tables.get_mut(&name) {
+                t.reset_to_base(TableBase { image: Arc::clone(&image), meta: Arc::new(meta) });
             }
-            *self.image.lock() = Some(image);
         }
+        *self.image.lock() = Some(image);
         Ok(())
     }
 
@@ -1742,6 +1594,7 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::structured::table::Column;
     use crate::value::DataType;
     use std::path::PathBuf;
@@ -2056,65 +1909,94 @@ mod tests {
         let _ = std::fs::remove_file(Database::checkpoint_path(&p));
     }
 
+    /// Commit `n` people through a WAL at `p` without checkpointing.
+    fn wal_only_people(p: &Path, n: i64) -> Vec<Row> {
+        let db = Database::open(p).unwrap();
+        db.create_table(people_schema()).unwrap();
+        for i in 0..n {
+            db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
+        }
+        db.scan_autocommit("people").unwrap()
+    }
+
     #[test]
-    fn legacy_json_database_opens_and_migrates_on_checkpoint() {
-        let p = tmpwal("legacy-json");
-        let schema = people_schema();
-        // Fabricate a pre-paged-engine database: a WAL-format checkpoint
-        // image and a WAL tail, both holding JSON records.
+    fn missing_checkpoint_with_wal_opens_every_row() {
+        let p = tmpwal("no-ckpt");
+        let expected = wal_only_people(&p, 25);
+        assert!(!Database::checkpoint_path(&p).exists());
+        let db = Database::open(&p).unwrap();
+        assert_eq!(db.scan_autocommit("people").unwrap(), expected);
+        assert_eq!(db.overlay_row_count("people").unwrap(), 25);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn non_paged_checkpoint_is_corrupt() {
+        // A WAL-framed file of JSON records (the retired checkpoint
+        // format), an empty file and a zeroed page: none is a paged image,
+        // and none may open as "no checkpoint" over the WAL beside it.
+        let p = tmpwal("bad-ckpt");
+        wal_only_people(&p, 3);
+        let ckpt = Database::checkpoint_path(&p);
         {
-            let mut ck = Wal::open(Database::checkpoint_path(&p)).unwrap();
-            for rec in [
-                LogRecord::Begin { tx: 0 },
-                LogRecord::CreateTable { schema: schema.clone() },
-                LogRecord::Insert {
-                    tx: 0,
-                    table: "people".into(),
-                    row_id: RowId(0),
-                    row: person("old", 50, "past"),
-                },
-                LogRecord::Commit { tx: 0 },
-            ] {
-                ck.append(&rec.encode_with(WalCodec::Json).unwrap()).unwrap();
-            }
+            let mut ck = Wal::open(&ckpt).unwrap();
+            ck.append(br#"{"Begin":{"tx":0}}"#).unwrap();
+            ck.append(br#"{"Commit":{"tx":0}}"#).unwrap();
             ck.sync().unwrap();
+        }
+        let json_ckpt = std::fs::read(&ckpt).unwrap();
+        for bad in [json_ckpt, Vec::new(), vec![0u8; crate::page::PAGE_SIZE]] {
+            std::fs::write(&ckpt, &bad).unwrap();
+            let res = Database::open(&p);
+            assert!(matches!(res, Err(StorageError::Corrupt(_))), "{} bytes", bad.len());
+        }
+        std::fs::remove_file(&p).unwrap();
+        std::fs::remove_file(&ckpt).unwrap();
+    }
+
+    #[test]
+    fn v1_checkpoint_directory_is_corrupt() {
+        // Hand-build a retired heap-chain image: one heap chain of
+        // `(row_id, row)` records and a directory that opens with the
+        // table count instead of the v2 sentinel.
+        let p = tmpwal("v1-dir");
+        {
+            let mut pager = Pager::create(&RealBackend, &Database::checkpoint_path(&p), 8).unwrap();
+            let mut heap = ChainWriter::new(&mut pager, PageType::Heap).unwrap();
+            let mut rec = Vec::new();
+            codec::write_u64(&mut rec, 0).unwrap();
+            codec::write_row(&mut rec, &person("old", 50, "past")).unwrap();
+            heap.push_record(&mut pager, &rec).unwrap();
+            let (head, nrows) = heap.finish(&mut pager).unwrap();
+            let mut dir = Vec::new();
+            codec::write_u64(&mut dir, 1).unwrap();
+            codec::write_schema(&mut dir, &people_schema()).unwrap();
+            codec::write_u64(&mut dir, u64::from(head)).unwrap();
+            codec::write_u64(&mut dir, nrows).unwrap();
+            let mut dir_chain = ChainWriter::new(&mut pager, PageType::Directory).unwrap();
+            dir_chain.push_record(&mut pager, &dir).unwrap();
+            let (dir_head, _) = dir_chain.finish(&mut pager).unwrap();
+            pager.set_root(dir_head);
+            pager.flush().unwrap();
+        }
+        let res = Database::open(&p);
+        assert!(matches!(res, Err(StorageError::Corrupt(_))), "{:?}", res.err());
+        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn json_wal_record_is_corrupt() {
+        let p = tmpwal("json-wal");
+        wal_only_people(&p, 2);
+        {
             let mut wal = Wal::open(&p).unwrap();
-            for rec in [
-                LogRecord::Begin { tx: 1 },
-                LogRecord::Insert {
-                    tx: 1,
-                    table: "people".into(),
-                    row_id: RowId(1),
-                    row: person("tail", 7, "log"),
-                },
-                LogRecord::Commit { tx: 1 },
-            ] {
-                wal.append(&rec.encode_with(WalCodec::Json).unwrap()).unwrap();
-            }
+            wal.append(br#"{"Begin":{"tx":9}}"#).unwrap();
             wal.sync().unwrap();
         }
-        // The legacy database opens; new writes append *binary* records to
-        // the same (JSON-prefixed) log.
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 2);
-            db.insert_autocommit("people", person("new", 1, "now")).unwrap();
-        }
-        // Mixed-format replay works record-by-record.
-        {
-            let db = Database::open(&p).unwrap();
-            assert_eq!(db.row_count("people").unwrap(), 3);
-            // Checkpointing migrates the image to the paged binary format.
-            db.checkpoint().unwrap();
-        }
-        assert!(Pager::is_paged(&RealBackend, &Database::checkpoint_path(&p)).unwrap());
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 3);
-        let tx = db.begin();
-        assert_eq!(db.get(tx, "people", &["old".into()]).unwrap()[1], Value::Int(50));
-        db.commit(tx).unwrap();
+        let res = Database::open(&p);
+        assert!(matches!(res, Err(StorageError::Corrupt(_))), "{:?}", res.err());
         std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
     }
 
     #[test]
@@ -2473,36 +2355,6 @@ mod tests {
             39
         );
         db.commit(tx).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
-    }
-
-    #[test]
-    fn heap_chain_v1_format_knob_writes_materializing_images() {
-        let p = tmpwal("v1-knob");
-        {
-            let mut db = Database::open(&p).unwrap();
-            db.set_checkpoint_format(CheckpointFormat::HeapChainV1);
-            assert_eq!(db.checkpoint_format(), CheckpointFormat::HeapChainV1);
-            db.create_table(people_schema()).unwrap();
-            for i in 0..30 {
-                db.insert_autocommit("people", person(&format!("p{i:02}"), i, "x")).unwrap();
-            }
-            db.checkpoint().unwrap();
-            // V1 keeps tables resident: no base swap.
-            assert_eq!(db.overlay_row_count("people").unwrap(), 30);
-        }
-        // A v1 image materializes fully on open (legacy behavior)...
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 30);
-        assert_eq!(db.row_count("people").unwrap(), 30);
-        // ...and the next default-format checkpoint migrates it to trees.
-        db.checkpoint().unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        drop(db);
-        let db = Database::open(&p).unwrap();
-        assert_eq!(db.overlay_row_count("people").unwrap(), 0);
-        assert_eq!(db.row_count("people").unwrap(), 30);
         std::fs::remove_file(&p).unwrap();
         std::fs::remove_file(Database::checkpoint_path(&p)).unwrap();
     }

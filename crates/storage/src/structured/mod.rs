@@ -22,9 +22,9 @@ pub mod replication;
 pub mod table;
 pub mod view;
 
-pub use engine::{CheckpointFormat, Database, IndexStats, ScanAccess, TxId};
+pub use engine::{Database, IndexStats, ScanAccess, TxId};
 pub use lock::{LockManager, LockMode};
-pub use recovery::{LogRecord, WalCodec};
+pub use recovery::LogRecord;
 pub use replication::{ReplicaApplier, ReplicaPosition, ReplicationSeed};
 pub use table::{Column, Row, RowId, TableSchema};
 pub use view::{DbSnapshot, TableView};

@@ -1,10 +1,9 @@
 //! Paged checkpoint images behind the engine: B-tree table bases and the
 //! merged base + overlay read path.
 //!
-//! Since PR 9 a checkpoint image holds three B-trees per table (rows by
-//! row id, primary keys, and one tree per secondary index) instead of a
-//! sequential heap chain. That turns the image from a load-once stream
-//! into a *random-access base*: [`super::engine::Database`] keeps each
+//! A checkpoint image holds three B-trees per table (rows by row id,
+//! primary keys, and one tree per secondary index), which makes the image
+//! a *random-access base*: [`super::engine::Database`] keeps each
 //! table as a small in-memory **overlay** (rows written since the last
 //! checkpoint, plus tombstones for deleted base rows) stacked on an
 //! immutable [`TableBase`], and faults base pages through the image's
@@ -18,9 +17,10 @@
 //! order everywhere a heap scan used to be.
 //!
 //! The directory format is versioned. A v2 directory starts with a
-//! `u64::MAX` sentinel (impossible as a v1 table count); anything else is
-//! the PR-7 heap-chain layout, which the engine still loads by
-//! materializing — migration to trees happens on the next checkpoint.
+//! `u64::MAX` sentinel (impossible as the table count that opened the
+//! retired v1 heap-chain directory) and a version number; any other
+//! directory fails as [`StorageError::Corrupt`], so an old image is never
+//! misread as a new one.
 
 use crate::btree::{self, BTree, KeyOrder};
 use crate::codec;
@@ -38,8 +38,8 @@ use std::sync::Arc;
 use super::index::SecondaryIndex;
 use super::table::{Row, RowId, TableSchema};
 
-/// First varint of a v2 directory. A v1 directory starts with its table
-/// count, which can never be `u64::MAX`.
+/// First varint of a v2 directory. A retired v1 directory started with its
+/// table count, which can never be `u64::MAX`.
 const DIRECTORY_V2_SENTINEL: u64 = u64::MAX;
 /// Directory format version written after the sentinel.
 const DIRECTORY_V2_VERSION: u64 = 2;
@@ -209,12 +209,12 @@ pub(crate) fn encode_directory_v2(entries: &[DirectoryEntry]) -> Result<Vec<u8>>
     Ok(out)
 }
 
-/// Decode a directory if it is v2; `Ok(None)` means the bytes are a v1
-/// (heap-chain) directory and the caller should use the legacy loader.
-pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Option<Vec<DirectoryEntry>>> {
+/// Decode a v2 directory. A directory without the v2 sentinel (the
+/// retired v1 heap-chain layout) is [`StorageError::Corrupt`].
+pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Vec<DirectoryEntry>> {
     let pos = &mut 0usize;
     if codec::read_u64(dir, pos)? != DIRECTORY_V2_SENTINEL {
-        return Ok(None);
+        return Err(StorageError::Corrupt("pre-v2 checkpoint directory".into()));
     }
     let version = codec::read_u64(dir, pos)?;
     if version != DIRECTORY_V2_VERSION {
@@ -246,7 +246,7 @@ pub(crate) fn decode_directory_v2(dir: &[u8]) -> Result<Option<Vec<DirectoryEntr
     if *pos != dir.len() {
         return Err(StorageError::Corrupt("checkpoint directory has trailing bytes".into()));
     }
-    Ok(Some(entries))
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------
@@ -439,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn directory_v2_round_trips_and_v1_is_recognized() {
+    fn directory_v2_round_trips_and_v1_is_corrupt() {
         let entries = vec![DirectoryEntry {
             schema: schema(),
             meta: BaseMeta {
@@ -451,15 +451,20 @@ mod tests {
             },
         }];
         let bytes = encode_directory_v2(&entries).unwrap();
-        let back = decode_directory_v2(&bytes).unwrap().expect("v2 directory");
+        let back = decode_directory_v2(&bytes).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].meta, entries[0].meta);
         assert_eq!(back[0].schema.name, "t");
 
-        // A v1 directory (plain table count first) is not misdetected.
+        // A v1 directory (plain table count first) is rejected, not misread.
         let mut v1 = Vec::new();
         codec::write_u64(&mut v1, 1).unwrap();
-        assert!(decode_directory_v2(&v1).unwrap().is_none());
+        assert!(matches!(decode_directory_v2(&v1), Err(StorageError::Corrupt(_))));
+        // So is an unknown version after the sentinel.
+        let mut v3 = Vec::new();
+        codec::write_u64(&mut v3, DIRECTORY_V2_SENTINEL).unwrap();
+        codec::write_u64(&mut v3, 3).unwrap();
+        assert!(matches!(decode_directory_v2(&v3), Err(StorageError::Corrupt(_))));
     }
 
     #[test]
